@@ -126,7 +126,10 @@ class EventSink {
 
   /// \brief Pushes buffered bytes to the OS. The replayer calls this
   /// before recording a checkpoint so a crash immediately after cannot
-  /// lose output the checkpoint counts as delivered. Unbuffered sinks
+  /// lose output the checkpoint counts as delivered, and from idle paced
+  /// emitters once an event has waited SendHold::kMaxHold (1 ms) — a
+  /// buffering transport's size threshold is not the only trigger. A
+  /// failing Flush fails the run like a failed delivery. Unbuffered sinks
   /// need not override.
   virtual Status Flush() { return Status::OK(); }
 

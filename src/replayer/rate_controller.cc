@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <thread>
 
 namespace graphtides {
 
@@ -72,26 +71,7 @@ Timestamp RateController::NextDeadline() {
 }
 
 Timestamp RateController::WaitForNextSlot() {
-  const Timestamp deadline = NextDeadline();
-  // Lag fast path: time already observed at/past the deadline means the
-  // slot is open — no clock read. When replay runs behind schedule this
-  // releases whole stretches of slots off one observation (~35 ns per
-  // steady_clock read saved per event on a typical VM).
-  if (observed_now_ >= deadline) return deadline;
-  // Two-stage wait: yield while far from the deadline, spin when close.
-  // Yielding keeps the reader thread runnable on loaded machines; the final
-  // busy-wait gives microsecond-precision release times.
-  constexpr Duration kSpinWindow = Duration::FromMicros(50);
-  while (true) {
-    const Timestamp now = clock_->Now();
-    observed_now_ = now;
-    if (now >= deadline) break;
-    if (deadline - now > kSpinWindow) {
-      std::this_thread::yield();
-    }
-    // else: pure busy-wait
-  }
-  return deadline;
+  return WaitForNextSlot([](Timestamp) {});
 }
 
 Duration RateController::Lag() const {

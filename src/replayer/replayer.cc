@@ -190,6 +190,14 @@ Result<ReplayStats> StreamReplayer::Run(const SourceFn& source,
   };
 
   Status emit_status;
+  // Paced runs flush the transport while waiting for the next slot once
+  // the oldest unflushed event is SendHold::kMaxHold overdue (the rule the
+  // sharded lanes share); a failing flush ends the run like a failed
+  // delivery.
+  SendHold hold;
+  auto on_idle = [&](Timestamp now) {
+    emit_status = hold.Release(now, [&] { return sink->Flush(); });
+  };
   bool cancelled = false;
   bool stopped = false;
   while (true) {
@@ -243,7 +251,8 @@ Result<ReplayStats> StreamReplayer::Run(const SourceFn& source,
     // every stage of that event is timed (throttle -> deliver -> ack).
     const bool sampled = telem != nullptr && telem->ShouldSample(tshard);
     const Timestamp span_start = sampled ? clock.Now() : Timestamp{};
-    const Timestamp slot = rate.WaitForNextSlot();
+    const Timestamp slot = rate.WaitForNextSlot(on_idle);
+    if (!emit_status.ok()) break;
     Timestamp deliver_start;
     if (sampled) {
       deliver_start = clock.Now();
@@ -264,6 +273,7 @@ Result<ReplayStats> StreamReplayer::Run(const SourceFn& source,
     // not seen it yet. A resume must not re-deliver it past a flushed
     // checkpoint (resume truncation handles the unflushed tail).
     FaultPlan::Global().Hit(kCrashPostDelivery);
+    hold.Held(slot);
     ++stats.events_delivered;
     progress_.store(stats.events_delivered, std::memory_order_relaxed);
     stats.lag.Record(clock.Now() - slot);

@@ -61,13 +61,13 @@ Duration ResilientSink::BackoffFor(uint32_t retry) {
   return Duration::FromNanos(std::max<int64_t>(0, static_cast<int64_t>(ns)));
 }
 
-Status ResilientSink::Deliver(const Event& event) {
-  ++stats_.deliveries;
+template <typename AttemptFn>
+Status ResilientSink::Retry(AttemptFn&& attempt, bool flush) {
   const Timestamp start = clock_->Now();
   uint32_t retry = 0;
   while (true) {
-    ++stats_.attempts;
-    Status last = inner_->Deliver(event);
+    if (!flush) ++stats_.attempts;
+    Status last = attempt();
     if (last.ok()) return last;
     if (!Retryable(last)) {
       ++stats_.giveups;
@@ -80,13 +80,14 @@ Status ResilientSink::Deliver(const Event& event) {
                              retry < options_.retry_budget;
     if (timed_out || !budget_left) {
       if (options_.policy == DegradationPolicy::kDropAndCount) {
-        ++stats_.drops;
+        if (!flush) ++stats_.drops;
         return Status::OK();
       }
       ++stats_.giveups;
       if (timed_out) {
-        return Status::Timeout("delivery timed out after " +
-                               std::to_string(stats_.attempts) +
+        return Status::Timeout(std::string(flush ? "flush" : "delivery") +
+                               " timed out after " +
+                               std::to_string(retry + 1) +
                                " attempts; last: " + last.ToString());
       }
       return last.WithContext("retry budget exhausted (" +
@@ -109,6 +110,15 @@ Status ResilientSink::Deliver(const Event& event) {
       }
     }
   }
+}
+
+Status ResilientSink::Deliver(const Event& event) {
+  ++stats_.deliveries;
+  return Retry([&] { return inner_->Deliver(event); }, /*flush=*/false);
+}
+
+Status ResilientSink::Flush() {
+  return Retry([&] { return inner_->Flush(); }, /*flush=*/true);
 }
 
 SinkTelemetry ResilientSink::Telemetry() const {

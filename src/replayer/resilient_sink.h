@@ -92,7 +92,13 @@ class ResilientSink final : public EventSink {
 
   Status Deliver(const Event& event) override;
   Status Finish() override { return inner_->Finish(); }
-  Status Flush() override { return inner_->Flush(); }
+  /// \brief Flushes under the same retry, reconnect and timeout rules as
+  /// Deliver. A paced replayer flushes idle transports, so a flush can
+  /// find the connection severed by a delivery dropped under
+  /// kDropAndCount; once the budget is spent under that policy the flush
+  /// reports success without counting a drop — the bytes stay buffered
+  /// in the transport and go out with its next successful send.
+  Status Flush() override;
   uint64_t bytes_delivered() const override {
     return inner_->bytes_delivered();
   }
@@ -110,6 +116,10 @@ class ResilientSink final : public EventSink {
   bool Retryable(const Status& status) const;
   /// Backoff for the given retry ordinal (0-based), jittered and capped.
   Duration BackoffFor(uint32_t retry);
+  /// The retry loop shared by Deliver and Flush: `attempt` is retried
+  /// per the options until it succeeds or the policy gives up.
+  template <typename AttemptFn>
+  Status Retry(AttemptFn&& attempt, bool flush);
 
   EventSink* inner_;
   ResilientSinkOptions options_;

@@ -417,7 +417,7 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
     Event scratch;
     Status emit;
     // Serializes the current `view` into `out` in the negotiated wire
-    // format: one sealed v2 block per batch (oversize batches seal and
+    // format: one sealed v2 block per delivery (oversize batches seal and
     // continue — several blocks per delivery is still one valid stream)
     // or one canonical CSV line per event.
     auto serialize_one = [&] {
@@ -428,6 +428,59 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
       } else {
         view.AppendLine(&out);
       }
+    };
+    // Delivery state spans batches: a paced lane may hand its batch over
+    // in parts, and the transport buffer carries bytes from one batch
+    // into the next, so the send-side hold is tracked per lane.
+    SendHold hold;
+    Timestamp last_slot;
+    // Events serialized into `out`, not yet handed to the sink.
+    size_t staged = 0;
+    // Events the sink accepted that the lane has not counted yet, and the
+    // slot of the newest of them.
+    size_t uncredited = 0;
+    Timestamp uncredited_slot;
+    auto deliver_staged = [&]() -> Status {
+      if (v2_wire) v2_encoder.SealTo(&out);
+      const Status status = sink->DeliverSerialized(out, staged);
+      out.clear();
+      if (status.ok()) {
+        // Sink acked these events; lane accounting not updated yet. One
+        // Hit per record (not per call) so a scripted crash index counts
+        // delivered events regardless of batching.
+        for (size_t i = 0; i < staged; ++i) {
+          FaultPlan::Global().Hit(kCrashPostDelivery);
+        }
+        uncredited += staged;
+        uncredited_slot = last_slot;
+      }
+      staged = 0;
+      return status;
+    };
+    // Counts what reached the sink: progress, capacity windows and the
+    // hub see every delivery call, partial ones included. Telemetry is
+    // flushed per call, never per event.
+    auto credit = [&] {
+      if (uncredited == 0) return;
+      st.events_delivered += uncredited;
+      progress_.fetch_add(uncredited, std::memory_order_relaxed);
+      local_delivered_.fetch_add(uncredited, std::memory_order_relaxed);
+      st.lag.Record(clock.Now() - uncredited_slot);
+      roll_bins(uncredited_slot);
+      bin_count += uncredited;
+      if (telem != nullptr) telem->AddDelivered(shard, uncredited);
+      uncredited = 0;
+    };
+    // Runs when the lane is ahead of schedule and about to wait: once the
+    // oldest unflushed event is kMaxHold overdue, hand over the staged
+    // part of the batch and flush the transport. A failure here fails the
+    // lane like a failed delivery.
+    auto on_idle = [&](Timestamp now) {
+      emit = hold.Release(now, [&]() -> Status {
+        if (staged > 0) GT_RETURN_NOT_OK(deliver_staged());
+        credit();
+        return sink->Flush();
+      });
     };
     while (true) {
       std::optional<LaneItem> popped = lane.queue.TryPop();
@@ -463,21 +516,20 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
           lane_target = target;
         }
       }
-      Timestamp last_slot;
-      size_t delivered = 0;
-      // Lane sampling is per batch (the telemetry-flush granularity): the
-      // first event of a sampled batch donates the throttle and serialize
-      // spans; deliver covers the sink handoff; ack the post-batch flush.
+      // Lane sampling is per batch: the first event of a sampled batch
+      // donates the throttle and serialize spans; deliver covers the
+      // batch's final sink handoff; ack the post-batch accounting.
       const bool sampled = telem != nullptr && telem->ShouldSample(shard);
       Timestamp span_start;
       if (serialized) {
         // Zero-copy path: pace each slot, serialize the canonical line
-        // into the reusable buffer, hand the sink the whole batch once.
-        out.clear();
+        // into the reusable buffer, hand the sink the whole batch once —
+        // or in parts, when idle waits release it early.
         bool first = true;
         for (const LaneRecord& r : batch.records) {
           if (sampled && first) span_start = clock.Now();
-          last_slot = rate.WaitForNextSlot();
+          last_slot = rate.WaitForNextSlot(on_idle);
+          if (!emit.ok()) break;
           view.type = r.type;
           view.vertex = r.vertex;
           view.edge = r.edge;
@@ -493,21 +545,16 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
           } else {
             serialize_one();
           }
+          ++staged;
+          hold.Held(last_slot);
         }
-        if (v2_wire) v2_encoder.SealTo(&out);
-        const Timestamp deliver_start = sampled ? clock.Now() : Timestamp{};
-        emit = sink->DeliverSerialized(out, batch.records.size());
-        if (sampled) {
-          telem->RecordStage(shard, ReplayStage::kDeliver,
-                             clock.Now() - deliver_start);
-        }
-        if (emit.ok()) {
-          delivered = batch.records.size();
-          // Sink acked the whole batch; lane accounting not updated yet.
-          // One Hit per record (not per batch) so a scripted crash index
-          // counts delivered events regardless of batching.
-          for (size_t i = 0; i < delivered; ++i) {
-            FaultPlan::Global().Hit(kCrashPostDelivery);
+        if (emit.ok() && staged > 0) {
+          const Timestamp deliver_start =
+              sampled ? clock.Now() : Timestamp{};
+          emit = deliver_staged();
+          if (sampled) {
+            telem->RecordStage(shard, ReplayStage::kDeliver,
+                               clock.Now() - deliver_start);
           }
         }
       } else {
@@ -517,7 +564,8 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
         bool first = true;
         for (const LaneRecord& r : batch.records) {
           if (sampled && first) span_start = clock.Now();
-          last_slot = rate.WaitForNextSlot();
+          last_slot = rate.WaitForNextSlot(on_idle);
+          if (!emit.ok()) break;
           scratch.type = r.type;
           scratch.vertex = r.vertex;
           scratch.edge = r.edge;
@@ -535,26 +583,19 @@ Result<ShardedReplayStats> ShardedReplayer::Run(
           }
           if (!emit.ok()) break;
           FaultPlan::Global().Hit(kCrashPostDelivery);
-          ++delivered;
+          ++uncredited;
+          uncredited_slot = last_slot;
+          hold.Held(last_slot);
         }
       }
-      if (delivered > 0) {
-        // One telemetry flush per batch, not per event.
+      if (uncredited > 0) {
         const Timestamp ack_start = sampled ? clock.Now() : Timestamp{};
-        st.events_delivered += delivered;
-        progress_.fetch_add(delivered, std::memory_order_relaxed);
-        local_delivered_.fetch_add(delivered, std::memory_order_relaxed);
-        st.lag.Record(clock.Now() - last_slot);
-        roll_bins(last_slot);
-        bin_count += delivered;
-        if (telem != nullptr) {
-          telem->AddDelivered(shard, delivered);
-          if (sampled) {
-            telem->UpdateDeliveryCounters(
-                shard, ToDeliveryCounters(sink->Telemetry()));
-            telem->RecordStage(shard, ReplayStage::kAck,
-                               clock.Now() - ack_start);
-          }
+        credit();
+        if (sampled) {
+          telem->UpdateDeliveryCounters(
+              shard, ToDeliveryCounters(sink->Telemetry()));
+          telem->RecordStage(shard, ReplayStage::kAck,
+                             clock.Now() - ack_start);
         }
       }
       batch.Clear();

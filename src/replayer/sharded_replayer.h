@@ -26,7 +26,13 @@
 // buffer handed to the sink once per batch (SupportsSerialized transports:
 // pipe, TCP) or materialize into one reusable Event for decorated sinks.
 // Telemetry (progress counter, achieved-rate bins, lag samples) is flushed
-// once per batch, not per event.
+// once per delivery call, not per event.
+//
+// Send-side hold: a paced lane that is ahead of schedule and about to wait
+// for its next slot hands the staged part of its batch to the sink and
+// flushes it once the oldest unflushed event is SendHold::kMaxHold (1 ms)
+// overdue (rate_controller.h). Saturated lanes never wait, so they keep
+// one delivery call per full batch.
 #ifndef GRAPHTIDES_REPLAYER_SHARDED_REPLAYER_H_
 #define GRAPHTIDES_REPLAYER_SHARDED_REPLAYER_H_
 
@@ -66,7 +72,8 @@ struct ShardedReplayerOptions {
   /// each lane paces at total_rate_eps / shards (SET_RATE factors apply
   /// per lane, so the aggregate scales the same way).
   double total_rate_eps = 10000.0;
-  /// Graph events per lane batch (the telemetry-flush granularity).
+  /// Graph events per lane batch: the largest delivery call (a paced lane
+  /// that idles hands a batch over in parts, see SendHold).
   size_t batch_events = 256;
   /// Per-lane queue capacity in items (batches + barrier tokens).
   size_t lane_queue_items = 1 << 8;

@@ -32,7 +32,10 @@ Result<int> DialTcp(const std::string& host, uint16_t port,
 ///
 /// Writes go through a small user-space buffer and the kernel socket
 /// buffer; when the receiver falls behind, writes block — TCP flow control
-/// is the backpressure signal.
+/// is the backpressure signal. The buffer drains when 16 KiB build up or
+/// on Flush(): paced replayers flush it while they wait for their next
+/// slot (SendHold, rate_controller.h), so a paced event waits at most
+/// ~1 ms here instead of until 16 KiB accumulate.
 ///
 /// Failure semantics: sends use MSG_NOSIGNAL, so a peer that resets the
 /// connection mid-replay surfaces as an IoError Status instead of a
@@ -90,12 +93,14 @@ class TcpSink final : public EventSink {
 
   Status Deliver(const Event& event) override;
   /// Appends the pre-serialized batch to the user-space buffer in one go;
-  /// flushed on the same 16 KiB threshold as per-event delivery.
+  /// flushed on the same 16 KiB threshold as per-event delivery, or by the
+  /// replayer's idle-lane Flush().
   bool SupportsSerialized() const override { return true; }
   Status DeliverSerialized(std::string_view lines, size_t count) override;
   Result<WireFormat> NegotiateWireFormat(WireFormat preferred) override;
   Status Finish() override;
-  /// Drains the user-space buffer into the socket (checkpoint boundary).
+  /// Drains the user-space buffer into the socket (checkpoint boundary,
+  /// or an idle paced lane bounding its send-side hold).
   Status Flush() override { return FlushBuffer(); }
   uint64_t bytes_delivered() const override {
     return bytes_.load(std::memory_order_relaxed);
@@ -126,7 +131,8 @@ class TcpSink final : public EventSink {
   V2BlockEncoder v2_encoder_;  // per-event fallback when wire_ is kV2
   /// Payload bytes pushed into the socket (counted at flush).
   std::atomic<uint64_t> bytes_{0};
-  /// Flush threshold; one syscall per ~16 KiB rather than per event.
+  /// Size flush threshold; one syscall per ~16 KiB rather than per event
+  /// when the emitter is saturated (idle emitters flush earlier).
   static constexpr size_t kFlushBytes = 16 * 1024;
 };
 

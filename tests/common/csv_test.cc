@@ -89,8 +89,13 @@ TEST(ParseCsvLineTest, RejectsNulInsideQuotedField) {
 }
 
 struct RoundTripCase {
+  std::string label;
   std::vector<std::string> fields;
 };
+
+// Names each case by its label. gtest's default printer dumps the object's
+// bytes, heap pointers included, so the test name would change every run.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.label; }
 
 class CsvRoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
 
@@ -104,12 +109,13 @@ TEST_P(CsvRoundTripTest, FormatThenParseIsIdentity) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, CsvRoundTripTest,
     ::testing::Values(
-        RoundTripCase{{"a", "b", "c"}},
-        RoundTripCase{{"", "", ""}},
-        RoundTripCase{{"with,comma", "with\"quote", "with\nnewline"}},
-        RoundTripCase{{R"({"k":"v,x"})", "1-2", ""}},
-        RoundTripCase{{"\"\"", ",", "\""}},
-        RoundTripCase{{"MARKER", "", "PHASE_1 done, next up"}}));
+        RoundTripCase{"plain", {"a", "b", "c"}},
+        RoundTripCase{"all_empty", {"", "", ""}},
+        RoundTripCase{"comma_quote_newline",
+                      {"with,comma", "with\"quote", "with\nnewline"}},
+        RoundTripCase{"json_with_comma", {R"({"k":"v,x"})", "1-2", ""}},
+        RoundTripCase{"bare_quotes", {"\"\"", ",", "\""}},
+        RoundTripCase{"marker", {"MARKER", "", "PHASE_1 done, next up"}}));
 
 }  // namespace
 }  // namespace graphtides

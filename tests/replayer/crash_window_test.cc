@@ -95,7 +95,7 @@ class CrashWindowTest : public ::testing::Test {
     Status status;
     if (shards == 1) {
       ReplayerOptions options;
-      options.base_rate_eps = 1e6;
+      options.base_rate_eps = paced_rate_ > 0.0 ? paced_rate_ : 1e6;
       if (checkpointing) {
         options.checkpoint_path = checkpoint_path;
         options.checkpoint_every = 300;
@@ -108,7 +108,7 @@ class CrashWindowTest : public ::testing::Test {
     } else {
       ShardedReplayerOptions options;
       options.shards = shards;
-      options.total_rate_eps = 4e6;
+      options.total_rate_eps = paced_rate_ > 0.0 ? paced_rate_ : 4e6;
       if (checkpointing) {
         options.checkpoint_path = checkpoint_path;
         options.checkpoint_every = 300;
@@ -184,6 +184,9 @@ class CrashWindowTest : public ::testing::Test {
 
   std::filesystem::path dir_;
   std::string stream_path_;
+  /// When > 0, every replay (golden, crashing, resumed) runs at this
+  /// rate: lanes idle between slots and hand batches over in parts.
+  double paced_rate_ = 0.0;
 };
 
 TEST_F(CrashWindowTest, SingleShardKilledBetweenSinkAckAndAccounting) {
@@ -192,6 +195,16 @@ TEST_F(CrashWindowTest, SingleShardKilledBetweenSinkAckAndAccounting) {
   // the checkpointed accounting must still be exactly-once on resume.
   RunCrashingChild("crash=post-delivery:1000", Path("out"), 1, Path("cp"));
   ResumeAndVerify(Path("out"), 1, Path("cp"), Path("golden"));
+}
+
+TEST_F(CrashWindowTest, PacedShardsKilledBetweenPartialDeliveryAndAccounting) {
+  // 40k ev/s over 2 lanes: every lane idles between slots, so batches
+  // reach the sink in idle-flush parts and the crash index counts events
+  // of partial deliveries.
+  paced_rate_ = 40000.0;
+  RunGolden(Path("golden"), 2);
+  RunCrashingChild("crash=post-delivery:1100", Path("out"), 2, Path("cp"));
+  ResumeAndVerify(Path("out"), 2, Path("cp"), Path("golden"));
 }
 
 TEST_F(CrashWindowTest, SingleShardKilledBeforeCheckpointRename) {

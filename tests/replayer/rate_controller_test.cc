@@ -327,5 +327,117 @@ TEST(RateControllerTest, RandomJumpSequencePreservesExactScheduleSpan) {
   EXPECT_NEAR(static_cast<double>((prev - first).nanos()), 5000 * 4000.0, 1.0);
 }
 
+// ---------------------------------------------------------------------------
+// Idle hook: runs once per wait whose slot a clock read shows is still in
+// the future, never on the lagging / unpaced fast paths, and never moves
+// the anchored schedule however long it takes.
+// ---------------------------------------------------------------------------
+
+TEST(RateControllerTest, IdleHookRunsOncePerFutureSlot) {
+  JumpClock clock(Duration::FromMicros(1));
+  RateController rate(1000.0, &clock);  // 1 ms interval, ~1000 reads/wait
+  int calls = 0;
+  Timestamp hook_now;
+  auto hook = [&](Timestamp now) {
+    ++calls;
+    hook_now = now;
+  };
+  // The first slot is anchored at "now": open, no wait, no hook.
+  rate.WaitForNextSlot(hook);
+  EXPECT_EQ(calls, 0);
+  for (int i = 1; i <= 20; ++i) {
+    const Timestamp deadline = rate.WaitForNextSlot(hook);
+    EXPECT_EQ(calls, i) << "slot " << i;
+    EXPECT_LT(hook_now, deadline) << "slot " << i;
+  }
+}
+
+TEST(RateControllerTest, IdleHookNeverRunsWhenSlotIsOpen) {
+  int calls = 0;
+  auto hook = [&](Timestamp) { ++calls; };
+
+  // Lagging: the clock leaps 1 s past the schedule; the next 500 slots
+  // are all in the past and release without ever reaching the hook.
+  JumpClock lagging(Duration::FromMicros(1));
+  RateController paced(1000.0, &lagging);
+  paced.WaitForNextSlot(hook);
+  lagging.Jump(Duration::FromSeconds(1.0));
+  for (int i = 0; i < 500; ++i) paced.WaitForNextSlot(hook);
+  EXPECT_EQ(calls, 0);
+
+  // Unpaced (1e12 ev/s, the saturated benchmark rate): every slot is open.
+  JumpClock fast(Duration::FromNanos(1));
+  RateController unpaced(1e12, &fast);
+  for (int i = 0; i < 100000; ++i) unpaced.WaitForNextSlot(hook);
+  EXPECT_EQ(calls, 0);
+  // And the fast path keeps its cost: far fewer clock reads than slots.
+  EXPECT_LT(fast.reads(), 1000u);
+}
+
+TEST(RateControllerTest, SlowIdleHookDoesNotShiftAnchoredSchedule) {
+  JumpClock clock(Duration::FromMicros(1));
+  RateController rate(1000.0, &clock);  // 1 ms interval
+  const Timestamp first = rate.WaitForNextSlot();
+  int calls = 0;
+  for (int i = 1; i <= 40; ++i) {
+    // Alternate a hook that eats most of the interval with one that
+    // overshoots it by 2.5 slots: late slots release late, never re-anchor.
+    const Duration cost = i % 5 == 0 ? Duration::FromMicros(2500)
+                                     : Duration::FromMicros(700);
+    const Timestamp deadline = rate.WaitForNextSlot([&](Timestamp) {
+      ++calls;
+      clock.Jump(cost);
+    });
+    EXPECT_EQ((deadline - first).nanos(), i * 1000000LL) << "slot " << i;
+    EXPECT_GE(clock.Now(), deadline) << "slot " << i;
+  }
+  // The overshooting hooks left the next slots in the past: those waits
+  // skipped the hook entirely.
+  EXPECT_GT(calls, 0);
+  EXPECT_LT(calls, 40);
+}
+
+TEST(SendHoldTest, ReleasesOnlyOnceTheOldestHeldEventIsOverdue) {
+  SendHold hold;
+  int releases = 0;
+  auto release = [&] {
+    ++releases;
+    return Status::OK();
+  };
+  // Nothing held: never releases.
+  EXPECT_TRUE(hold.Release(Timestamp::FromSeconds(10.0), release).ok());
+  EXPECT_EQ(releases, 0);
+
+  const Timestamp t0 = Timestamp::FromMillis(100);
+  hold.Held(t0);
+  hold.Held(t0 + Duration::FromMicros(900));  // younger: does not reset
+  EXPECT_TRUE(hold.Release(t0 + SendHold::kMaxHold - Duration::FromNanos(1),
+                           release)
+                  .ok());
+  EXPECT_EQ(releases, 0);
+  EXPECT_TRUE(hold.Release(t0 + SendHold::kMaxHold, release).ok());
+  EXPECT_EQ(releases, 1);
+  // Released: nothing held until the next event.
+  EXPECT_TRUE(hold.Release(t0 + SendHold::kMaxHold * 5, release).ok());
+  EXPECT_EQ(releases, 1);
+}
+
+TEST(SendHoldTest, FailedReleaseKeepsTheHoldAndReturnsTheError) {
+  SendHold hold;
+  const Timestamp t0 = Timestamp::FromMillis(5);
+  hold.Held(t0);
+  const Timestamp late = t0 + SendHold::kMaxHold * 2;
+  const Status failed =
+      hold.Release(late, [] { return Status::IoError("socket gone"); });
+  EXPECT_TRUE(failed.IsIoError());
+  int releases = 0;
+  EXPECT_TRUE(hold.Release(late, [&] {
+                    ++releases;
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(releases, 1);
+}
+
 }  // namespace
 }  // namespace graphtides

@@ -195,5 +195,57 @@ TEST(ReplayerTest, QueueSmallerThanStreamStillDeliversAll) {
   EXPECT_EQ(delivered, 10000u);
 }
 
+// The send-side hold rule is shared with the sharded lanes: a paced run
+// flushes the transport while it waits for its next slot once the oldest
+// unflushed event is SendHold::kMaxHold overdue; an unpaced run never
+// waits and never flushes early.
+TEST(ReplayerTest, PacedRunFlushesIdleTransportWithinTheHoldBound) {
+  class FlushCountingSink final : public EventSink {
+   public:
+    Status Deliver(const Event& event) override {
+      seen.push_back(event.vertex);
+      return Status::OK();
+    }
+    Status Flush() override {
+      ++flushes;
+      return Status::OK();
+    }
+    std::vector<VertexId> seen;
+    size_t flushes = 0;
+  };
+  for (const double rate : {20000.0, 1e12}) {
+    ReplayerOptions options;
+    options.base_rate_eps = rate;
+    StreamReplayer replayer(options);
+    FlushCountingSink sink;
+    auto stats = replayer.Replay(VertexStream(1000), &sink);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    ASSERT_EQ(sink.seen.size(), 1000u);
+    for (size_t i = 0; i < sink.seen.size(); ++i) EXPECT_EQ(sink.seen[i], i);
+    if (rate < 1e6) {
+      // 50 ms of schedule: about one flush per millisecond, not per event.
+      EXPECT_GT(sink.flushes, 0u);
+      EXPECT_LT(sink.flushes, 500u);
+    } else {
+      EXPECT_EQ(sink.flushes, 0u);
+    }
+  }
+}
+
+TEST(ReplayerTest, FailingIdleFlushAbortsRun) {
+  ReplayerOptions options;
+  options.base_rate_eps = 20000.0;
+  StreamReplayer replayer(options);
+  class FlushFailingSink final : public EventSink {
+   public:
+    Status Deliver(const Event&) override { return Status::OK(); }
+    Status Flush() override { return Status::IoError("flush refused"); }
+  };
+  FlushFailingSink sink;
+  auto stats = replayer.Replay(VertexStream(1000), &sink);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_TRUE(stats.status().IsIoError()) << stats.status();
+}
+
 }  // namespace
 }  // namespace graphtides

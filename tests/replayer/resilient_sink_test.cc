@@ -216,6 +216,67 @@ TEST(ResilientSinkTest, PreconditionFailedRetryableOnlyWithReconnectHook) {
   }
 }
 
+// Inner transport that stays down until the reconnect hook revives it —
+// the state a delivery dropped after a forced disconnect leaves behind.
+class SeveredTransport final : public EventSink {
+ public:
+  Status Deliver(const Event&) override {
+    return connected ? Status::OK()
+                     : Status::PreconditionFailed("not connected");
+  }
+  Status Flush() override {
+    ++flush_attempts;
+    return connected ? Status::OK() : Status::IoError("socket closed");
+  }
+
+  bool connected = false;
+  int flush_attempts = 0;
+};
+
+TEST(ResilientSinkTest, FlushRetriesAndReconnectsLikeDeliver) {
+  SeveredTransport inner;
+  ResilientSinkOptions options;
+  options.retry_budget = 3;
+  ResilientSink sink(&inner, options, [&] {
+    inner.connected = true;
+    return Status::OK();
+  });
+  sink.set_sleep_fn([](Duration) {});
+
+  ASSERT_TRUE(sink.Flush().ok());
+  EXPECT_EQ(inner.flush_attempts, 2);
+  EXPECT_EQ(sink.stats().retries, 1u);
+  EXPECT_EQ(sink.stats().reconnects, 1u);
+  // A flush is not a delivery.
+  EXPECT_EQ(sink.stats().deliveries, 0u);
+  EXPECT_EQ(sink.stats().attempts, 0u);
+}
+
+TEST(ResilientSinkTest, ExhaustedFlushFollowsThePolicyWithoutCountingDrops) {
+  for (const DegradationPolicy policy :
+       {DegradationPolicy::kDropAndCount, DegradationPolicy::kFailFast}) {
+    SeveredTransport inner;
+    ResilientSinkOptions options;
+    options.retry_budget = 2;
+    options.policy = policy;
+    ResilientSink sink(&inner, options,
+                       [] { return Status::IoError("reconnect refused"); });
+    sink.set_sleep_fn([](Duration) {});
+
+    const Status st = sink.Flush();
+    EXPECT_EQ(inner.flush_attempts, 3);
+    EXPECT_EQ(sink.stats().drops, 0u);
+    if (policy == DegradationPolicy::kDropAndCount) {
+      // Nothing was dropped: the bytes stay buffered in the transport.
+      EXPECT_TRUE(st.ok()) << st;
+      EXPECT_EQ(sink.stats().giveups, 0u);
+    } else {
+      EXPECT_TRUE(st.IsIoError()) << st;
+      EXPECT_EQ(sink.stats().giveups, 1u);
+    }
+  }
+}
+
 TEST(ResilientSinkTest, ParseDegradationPolicyVocabulary) {
   EXPECT_EQ(*ParseDegradationPolicy("fail"), DegradationPolicy::kFailFast);
   EXPECT_EQ(*ParseDegradationPolicy("failfast"), DegradationPolicy::kFailFast);

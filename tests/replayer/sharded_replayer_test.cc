@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "replayer/replayer.h"
+#include "stream/v2_format.h"
 
 namespace graphtides {
 namespace {
@@ -306,6 +307,265 @@ TEST(ShardedReplayerTest, ProgressReflectsDeliveries) {
   SequencedCaptureSink b;
   ASSERT_TRUE(replayer.Replay(events, {&a, &b}).ok());
   EXPECT_EQ(replayer.progress(), a.captured().size() + b.captured().size());
+}
+
+// ---------------------------------------------------------------------------
+// Send-side hold. A paced lane that idles hands the staged part of its
+// batch to the sink and flushes it once the oldest unflushed event is
+// SendHold::kMaxHold overdue; a saturated lane never idles and keeps one
+// DeliverSerialized call per full batch.
+// ---------------------------------------------------------------------------
+
+/// Byte-oriented capture: the serialized (pipe/TCP) path, with call counts.
+class SerializedCaptureSink final : public EventSink {
+ public:
+  Status Deliver(const Event& event) override {
+    bytes_ += event.ToCsvLine();
+    bytes_ += '\n';
+    return Status::OK();
+  }
+  bool SupportsSerialized() const override { return true; }
+  Status DeliverSerialized(std::string_view lines, size_t count) override {
+    bytes_.append(lines);
+    ++deliver_calls_;
+    events_ += count;
+    return Status::OK();
+  }
+  Status Flush() override {
+    ++flushes_;
+    return Status::OK();
+  }
+
+  const std::string& bytes() const { return bytes_; }
+  size_t deliver_calls() const { return deliver_calls_; }
+  size_t events() const { return events_; }
+  size_t flushes() const { return flushes_; }
+
+ private:
+  std::string bytes_;
+  size_t deliver_calls_ = 0;
+  size_t events_ = 0;
+  size_t flushes_ = 0;
+};
+
+std::vector<std::unique_ptr<SerializedCaptureSink>> RunSerialized(
+    const std::vector<Event>& events, size_t shards, double rate_eps) {
+  ShardedReplayerOptions options;
+  options.shards = shards;
+  options.total_rate_eps = rate_eps;
+  ShardedReplayer replayer(options);
+  std::vector<std::unique_ptr<SerializedCaptureSink>> sinks;
+  std::vector<EventSink*> sink_ptrs;
+  for (size_t s = 0; s < shards; ++s) {
+    sinks.push_back(std::make_unique<SerializedCaptureSink>());
+    sink_ptrs.push_back(sinks.back().get());
+  }
+  const Result<ShardedReplayStats> stats = replayer.Replay(events, sink_ptrs);
+  EXPECT_TRUE(stats.ok()) << stats.status();
+  if (stats.ok()) {
+    size_t delivered = 0;
+    for (const auto& sink : sinks) delivered += sink->events();
+    // Partial deliveries are counted exactly once.
+    EXPECT_EQ(stats->aggregate.events_delivered, delivered);
+    EXPECT_EQ(replayer.progress(), delivered);
+  }
+  return sinks;
+}
+
+TEST(ShardedReplayerTest, PacedIdleFlushGoldenLaneBytesMatchUnpaced) {
+  // 1500 graph events at 20k ev/s aggregate (40k after the SET_RATE): about
+  // 65 ms per run with events 50-200 us apart per lane, so lanes idle
+  // between slots and the 1 ms hold bound trips many times per run.
+  const std::vector<Event> events = MixedStream(1500, 500);
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    const auto unpaced = RunSerialized(events, shards, 1e12);
+    const auto paced = RunSerialized(events, shards, 20000.0);
+    size_t flushes = 0;
+    size_t calls = 0;
+    size_t unpaced_calls = 0;
+    for (size_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(paced[s]->bytes(), unpaced[s]->bytes())
+          << shards << " shard(s), lane " << s;
+      EXPECT_FALSE(paced[s]->bytes().empty()) << "lane " << s;
+      flushes += paced[s]->flushes();
+      calls += paced[s]->deliver_calls();
+      unpaced_calls += unpaced[s]->deliver_calls();
+    }
+    // The idle flush fired, handing batches over in parts...
+    EXPECT_GT(flushes, 0u) << shards << " shard(s)";
+    EXPECT_GT(calls, unpaced_calls) << shards << " shard(s)";
+    // ...bounded by the hold, not one call per event.
+    EXPECT_LT(calls, 1500u / 2) << shards << " shard(s)";
+  }
+}
+
+TEST(ShardedReplayerTest, SaturatedLanesDeliverOneCallPerFullBatch) {
+  // Graph events only (markers and controls cut batches short at their
+  // barriers), replayed at the unpaced benchmark rate: no lane ever waits,
+  // so every lane makes exactly ceil(n / 256) delivery calls and never an
+  // idle flush.
+  std::vector<Event> events;
+  for (uint64_t v = 0; v < 3000; ++v) {
+    events.push_back(Event::AddVertex(v, "s" + std::to_string(v)));
+    if (v >= 2) events.push_back(Event::AddEdge(v, v / 2));
+  }
+  const size_t batch = ShardedReplayerOptions{}.batch_events;
+  ASSERT_EQ(batch, 256u);
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    const auto sinks = RunSerialized(events, shards, 1e12);
+    size_t total = 0;
+    for (size_t s = 0; s < shards; ++s) {
+      const size_t n = sinks[s]->events();
+      total += n;
+      EXPECT_EQ(sinks[s]->deliver_calls(), (n + batch - 1) / batch)
+          << shards << " shard(s), lane " << s << ", " << n << " events";
+      EXPECT_EQ(sinks[s]->flushes(), 0u) << "lane " << s;
+    }
+    EXPECT_EQ(total, events.size());
+  }
+}
+
+/// v2 wire capture: checks that every delivery call carries whole sealed
+/// blocks holding exactly the call's event count.
+class V2ChunkCheckingSink final : public EventSink {
+ public:
+  Status Deliver(const Event&) override {
+    return Status::Internal("v2 lanes deliver serialized blocks");
+  }
+  bool SupportsSerialized() const override { return true; }
+  Result<WireFormat> NegotiateWireFormat(WireFormat preferred) override {
+    return preferred;
+  }
+  Status DeliverSerialized(std::string_view chunk, size_t count) override {
+    ++calls_;
+    size_t records = 0;
+    while (!chunk.empty()) {
+      if (chunk.size() < kV2BlockHeaderBytes) {
+        return Status::ParseError("torn block header");
+      }
+      GT_ASSIGN_OR_RETURN(const V2BlockHeader header,
+                          ParseV2BlockHeader(chunk.substr(0, kV2BlockHeaderBytes)));
+      chunk.remove_prefix(kV2BlockHeaderBytes);
+      if (chunk.size() < header.body_bytes()) {
+        return Status::ParseError("torn block body");
+      }
+      GT_RETURN_NOT_OK(
+          CheckV2BlockBody(header, chunk.substr(0, header.body_bytes())));
+      chunk.remove_prefix(header.body_bytes());
+      records += header.record_count;
+    }
+    if (records != count) {
+      return Status::ParseError("call carries " + std::to_string(records) +
+                                " sealed records for " +
+                                std::to_string(count) + " events");
+    }
+    events_ += count;
+    return Status::OK();
+  }
+
+  size_t calls() const { return calls_; }
+  size_t events() const { return events_; }
+
+ private:
+  size_t calls_ = 0;
+  size_t events_ = 0;
+};
+
+TEST(ShardedReplayerTest, PacedV2WireSealsABlockBeforeEachPartialDelivery) {
+  const std::vector<Event> events = MixedStream(1500, 500);
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    ShardedReplayerOptions options;
+    options.shards = shards;
+    options.total_rate_eps = 20000.0;
+    options.wire_format = WireFormat::kV2;
+    ShardedReplayer replayer(options);
+    std::vector<std::unique_ptr<V2ChunkCheckingSink>> sinks;
+    std::vector<EventSink*> sink_ptrs;
+    for (size_t s = 0; s < shards; ++s) {
+      sinks.push_back(std::make_unique<V2ChunkCheckingSink>());
+      sink_ptrs.push_back(sinks.back().get());
+    }
+    const Result<ShardedReplayStats> stats =
+        replayer.Replay(events, sink_ptrs);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    size_t calls = 0;
+    size_t delivered = 0;
+    for (const auto& sink : sinks) {
+      calls += sink->calls();
+      delivered += sink->events();
+    }
+    EXPECT_EQ(delivered, 1500u);
+    // Partial deliveries happened: more calls than batches and barriers.
+    EXPECT_GT(calls, 1500u / 256 + 3 * shards) << shards << " shard(s)";
+  }
+}
+
+/// Per-event capture (no serialized path) that counts transport flushes.
+class FlushCountingSink final : public EventSink {
+ public:
+  Status Deliver(const Event& event) override {
+    lines_.push_back(event.ToCsvLine());
+    return Status::OK();
+  }
+  Status Flush() override {
+    ++flushes_;
+    return Status::OK();
+  }
+
+  const std::vector<std::string>& lines() const { return lines_; }
+  size_t flushes() const { return flushes_; }
+
+ private:
+  std::vector<std::string> lines_;
+  size_t flushes_ = 0;
+};
+
+TEST(ShardedReplayerTest, PacedDecoratedLanesFlushWhileIdle) {
+  // Per-event (decorated) path: nothing to hand over early, only the
+  // transport flush. Output and accounting stay exact.
+  const std::vector<Event> events = MixedStream(600, 500);
+  ShardedReplayerOptions options;
+  options.shards = 2;
+  options.total_rate_eps = 10000.0;
+  ShardedReplayer replayer(options);
+  FlushCountingSink a;
+  FlushCountingSink b;
+  const Result<ShardedReplayStats> stats = replayer.Replay(events, {&a, &b});
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_GT(a.flushes() + b.flushes(), 0u);
+  EXPECT_EQ(stats->aggregate.events_delivered, 600u);
+  EXPECT_EQ(replayer.progress(), 600u);
+
+  const ShardedRun golden = RunSharded(events, 2);
+  const FlushCountingSink* lanes[] = {&a, &b};
+  for (size_t s = 0; s < 2; ++s) {
+    std::vector<std::string> want;
+    for (const auto& [seq, line] : golden.per_shard[s]) want.push_back(line);
+    EXPECT_EQ(lanes[s]->lines(), want) << "lane " << s;
+  }
+}
+
+TEST(ShardedReplayerTest, FailingIdleFlushFailsTheLane) {
+  const std::vector<Event> events = MixedStream(600, 500);
+  ShardedReplayerOptions options;
+  options.shards = 2;
+  options.total_rate_eps = 10000.0;
+  ShardedReplayer replayer(options);
+  SerializedCaptureSink ok;
+  class FlushFailingSink final : public EventSink {
+   public:
+    Status Deliver(const Event&) override { return Status::OK(); }
+    bool SupportsSerialized() const override { return true; }
+    Status DeliverSerialized(std::string_view, size_t) override {
+      return Status::OK();
+    }
+    Status Flush() override { return Status::IoError("flush refused"); }
+  };
+  FlushFailingSink bad;
+  const Result<ShardedReplayStats> stats = replayer.Replay(events, {&ok, &bad});
+  ASSERT_FALSE(stats.ok());
+  EXPECT_TRUE(stats.status().IsIoError()) << stats.status();
+  EXPECT_NE(stats.status().ToString().find("flush refused"), std::string::npos);
 }
 
 }  // namespace

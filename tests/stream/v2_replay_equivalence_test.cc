@@ -79,7 +79,8 @@ struct LaneFiles {
 // the handshake (sinks opt in when it is kV2).
 LaneFiles ReplayToFiles(const std::string& stream_path, size_t shards,
                         WireFormat wire, const std::string& out_tag,
-                        const std::filesystem::path& dir) {
+                        const std::filesystem::path& dir,
+                        double rate_eps = 4e6) {
   LaneFiles lanes;
   std::vector<std::FILE*> files;
   std::vector<std::unique_ptr<PipeSink>> sinks;
@@ -97,7 +98,7 @@ LaneFiles ReplayToFiles(const std::string& stream_path, size_t shards,
   }
   ShardedReplayerOptions options;
   options.shards = shards;
-  options.total_rate_eps = 4e6;
+  options.total_rate_eps = rate_eps;
   options.wire_format = wire;
   ShardedReplayer replayer(options);
   const auto stats = replayer.ReplayFile(stream_path, sink_ptrs);
@@ -125,6 +126,31 @@ TEST_F(V2ReplayEquivalenceTest, V2InputLanesMatchCsvInputLanesByteForByte) {
   }
 }
 
+// Asserts each v2 wire lane decodes to exactly the CSV lane's events.
+void ExpectV2LanesDecodeToCsvLanes(const LaneFiles& v2_lanes,
+                                   const LaneFiles& csv_lanes, size_t shards) {
+  for (size_t s = 0; s < shards; ++s) {
+    // The lane output is a complete, self-delimiting v2 stream:
+    // preamble from the handshake, sentinel from Finish.
+    auto format = DetectStreamFormat(v2_lanes.paths[s]);
+    ASSERT_TRUE(format.ok());
+    ASSERT_EQ(*format, StreamFormat::kV2) << "lane " << s;
+    auto decoded = ReadV2StreamFile(v2_lanes.paths[s]);
+    ASSERT_TRUE(decoded.ok()) << "lane " << s << ": " << decoded.status();
+
+    std::vector<Event> golden;
+    StreamFileReader reader;
+    ASSERT_TRUE(reader.Open(csv_lanes.paths[s]).ok());
+    for (;;) {
+      auto next = reader.Next();
+      ASSERT_TRUE(next.ok()) << next.status();
+      if (!next->has_value()) break;
+      golden.push_back(**next);
+    }
+    EXPECT_EQ(*decoded, golden) << shards << " shard(s), lane " << s;
+  }
+}
+
 TEST_F(V2ReplayEquivalenceTest, V2WireOutputDecodesToTheCsvLanes) {
   const std::vector<Event> events = MixedStream(3000);
   ASSERT_TRUE(WriteStreamFile(Path("s.gts"), events).ok());
@@ -135,26 +161,25 @@ TEST_F(V2ReplayEquivalenceTest, V2WireOutputDecodesToTheCsvLanes) {
         Path("s.gts"), shards, WireFormat::kCsv, "golden" + tag, dir_);
     const LaneFiles v2_lanes = ReplayToFiles(
         Path("s.gts"), shards, WireFormat::kV2, "wire" + tag, dir_);
-    for (size_t s = 0; s < shards; ++s) {
-      // The lane output is a complete, self-delimiting v2 stream:
-      // preamble from the handshake, sentinel from Finish.
-      auto format = DetectStreamFormat(v2_lanes.paths[s]);
-      ASSERT_TRUE(format.ok());
-      ASSERT_EQ(*format, StreamFormat::kV2) << "lane " << s;
-      auto decoded = ReadV2StreamFile(v2_lanes.paths[s]);
-      ASSERT_TRUE(decoded.ok()) << "lane " << s << ": " << decoded.status();
+    ExpectV2LanesDecodeToCsvLanes(v2_lanes, csv_lanes, shards);
+  }
+}
 
-      std::vector<Event> golden;
-      StreamFileReader reader;
-      ASSERT_TRUE(reader.Open(csv_lanes.paths[s]).ok());
-      for (;;) {
-        auto next = reader.Next();
-        ASSERT_TRUE(next.ok()) << next.status();
-        if (!next->has_value()) break;
-        golden.push_back(**next);
-      }
-      EXPECT_EQ(*decoded, golden) << shards << " shard(s), lane " << s;
-    }
+TEST_F(V2ReplayEquivalenceTest, PacedV2WireWithIdleFlushesDecodesToTheCsvLanes) {
+  // At 20k ev/s the lanes idle between slots and hand batches over in
+  // parts, sealing a v2 block before each part: the block boundaries
+  // move, the decoded events must not.
+  const std::vector<Event> events = MixedStream(1500);
+  ASSERT_TRUE(WriteStreamFile(Path("s.gts"), events).ok());
+
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    const std::string tag = std::to_string(shards);
+    const LaneFiles csv_lanes = ReplayToFiles(
+        Path("s.gts"), shards, WireFormat::kCsv, "golden" + tag, dir_);
+    const LaneFiles v2_lanes =
+        ReplayToFiles(Path("s.gts"), shards, WireFormat::kV2, "paced" + tag,
+                      dir_, 20000.0);
+    ExpectV2LanesDecodeToCsvLanes(v2_lanes, csv_lanes, shards);
   }
 }
 
